@@ -46,16 +46,12 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let no_json = args.iter().any(|a| a == "--no-json");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .expect("--jobs needs a positive integer")
-        })
-        .unwrap_or_else(etrain_bench::default_jobs);
+    let jobs_flag = args.iter().position(|a| a == "--jobs").map(|i| {
+        args.get(i + 1)
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .expect("--jobs needs a positive integer")
+    });
     let json_path = args
         .iter()
         .position(|a| a == "--json")
@@ -76,6 +72,7 @@ fn main() {
         .unwrap_or_else(|| if quick { "quick" } else { "full" }.to_owned());
 
     let registry = etrain_bench::registry();
+    let jobs = etrain_sim::resolve_jobs(jobs_flag, registry.len());
     eprintln!(
         "# running {} experiments on {} worker(s){}",
         registry.len(),

@@ -2,13 +2,13 @@
 //!
 //! One experiment module per table and figure of the paper's evaluation,
 //! each printing the same rows/series the paper reports. Every experiment
-//! is exposed both as a library function (so integration tests can
-//! smoke-run it) and as a binary:
+//! is a library function (so integration tests can smoke-run it) in the
+//! [`registry`], which the `repro` binary runs by id:
 //!
 //! ```text
-//! cargo run -p etrain-bench --release --bin fig7a          # full fidelity
-//! cargo run -p etrain-bench --release --bin fig7a -- --quick
-//! cargo run -p etrain-bench --release --bin repro_all      # everything
+//! cargo run -p etrain-bench --release --bin repro -- fig7a          # full fidelity
+//! cargo run -p etrain-bench --release --bin repro -- fig7a --quick
+//! cargo run -p etrain-bench --release --bin repro_all               # everything
 //! ```
 //!
 //! `--quick` shrinks horizons/sweeps for CI-speed smoke runs; the shapes
@@ -112,7 +112,7 @@ impl ExperimentResult {
 /// An experiment that reproduces one paper artifact.
 #[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Short name (`fig7a`, `table1`, ...) — also the binary name.
+    /// Short name (`fig7a`, `table1`, ...) — the id `repro` takes.
     pub name: &'static str,
     /// The paper artifact it reproduces.
     pub description: &'static str,
@@ -306,6 +306,40 @@ pub fn find(name: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.name == name)
 }
 
+/// Picks the experiment the `repro` binary runs from its arguments
+/// (program name excluded): the first argument that is neither a `--`
+/// flag nor the directory after `--csv`.
+///
+/// # Errors
+///
+/// For a missing or unknown id, the message `repro` prints before it
+/// exits with status 2: the problem, the usage line and every registry
+/// id.
+pub fn select_experiment(args: &[String]) -> Result<Experiment, String> {
+    let mut rest = args.iter();
+    let mut id = None;
+    while let Some(arg) = rest.next() {
+        if arg == "--csv" {
+            rest.next();
+        } else if !arg.starts_with("--") {
+            id = Some(arg.as_str());
+            break;
+        }
+    }
+    let problem = match id {
+        Some(id) => match find(id) {
+            Some(experiment) => return Ok(experiment),
+            None => format!("unknown experiment `{id}`"),
+        },
+        None => "missing experiment id".to_owned(),
+    };
+    let ids: Vec<&str> = registry().iter().map(|e| e.name).collect();
+    Err(format!(
+        "error: {problem}\nusage: repro <id> [--quick] [--csv DIR]\nexperiment ids: {}",
+        ids.join(" ")
+    ))
+}
+
 /// Everything `repro_all` records about one finished experiment — the
 /// machine-readable row of `BENCH_repro.json`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -380,25 +414,9 @@ pub fn validate_env_knobs() {
     }
 }
 
-/// The number of workers `repro_all` uses by default: the `ETRAIN_JOBS`
-/// environment variable if set to a positive integer, otherwise the
-/// machine's available parallelism. Binaries run [`validate_env_knobs`]
-/// first, so an unparseable value has already aborted before the lenient
-/// fallback here could matter.
-pub fn default_jobs() -> usize {
-    let raw = std::env::var(etrain_sim::JOBS_ENV).ok();
-    etrain_sim::try_jobs_from_env(raw.as_deref())
-        .unwrap_or(None)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// Runs `experiments` across `jobs` workers and returns the finished runs
-/// **in input order**, regardless of which worker finished first — the
-/// same deterministic reassembly the simulator's `RunGrid` uses.
+/// **in input order**, regardless of which worker finished first — on
+/// the simulator's shared pool ([`etrain_sim::run_indexed`]).
 /// Experiment `run` functions are deterministic, so the output is
 /// bit-for-bit identical to a serial loop.
 ///
@@ -406,38 +424,13 @@ pub fn default_jobs() -> usize {
 ///
 /// Panics if a worker thread panics (the experiment itself panicked).
 pub fn run_experiments(experiments: &[Experiment], quick: bool, jobs: usize) -> Vec<ReproRun> {
-    let jobs = jobs.clamp(1, experiments.len().max(1));
     let mut slots: Vec<Option<ReproRun>> = (0..experiments.len()).map(|_| None).collect();
-    if jobs <= 1 {
-        for (slot, experiment) in slots.iter_mut().zip(experiments) {
-            *slot = Some(run_timed(experiment, quick));
-        }
-    } else {
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, &Experiment)>();
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, ReproRun)>();
-        for pair in experiments.iter().enumerate() {
-            job_tx.send(pair).expect("receiver alive");
-        }
-        drop(job_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, experiment)) = job_rx.recv() {
-                        let run = run_timed(experiment, quick);
-                        if result_tx.send((index, run)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-        });
-        for (index, run) in result_rx.try_iter() {
-            slots[index] = Some(run);
-        }
-    }
+    etrain_sim::run_indexed(
+        experiments,
+        jobs,
+        |experiment| run_timed(experiment, quick),
+        |index, run| slots[index] = Some(run),
+    );
     slots
         .into_iter()
         .map(|slot| slot.expect("every experiment ran"))
@@ -679,50 +672,6 @@ pub fn repro_report_json(runs: &[ReproRun], trajectory: Vec<TrajectoryPoint>) ->
     serde_json::to_string_pretty(&report).expect("plain-data records serialize")
 }
 
-/// Binary entry point shared by all `src/bin/*.rs` wrappers: runs the
-/// experiment and prints its tables and headlines. CLI flags: `--quick`
-/// shrinks the run; `--csv DIR` additionally writes each table as
-/// `DIR/<experiment>_<index>.csv` for plotting.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry (binaries are generated from
-/// it), or if `--csv` is given without a directory or the directory cannot
-/// be written.
-pub fn run_binary(name: &str) {
-    validate_env_knobs();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .map(|i| args.get(i + 1).expect("--csv needs a directory").clone());
-
-    let experiment = find(name).unwrap_or_else(|| panic!("unknown experiment `{name}`"));
-    println!("# {} — {}", experiment.name, experiment.description);
-    if quick {
-        println!("# (quick mode: reduced horizons/sweeps)");
-    }
-    let result = (experiment.run)(quick);
-    for table in &result.tables {
-        println!("{table}");
-    }
-    for headline in &result.headlines {
-        println!(
-            "# headline {} = {} {}",
-            headline.metric, headline.value, headline.unit
-        );
-    }
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir).expect("creating the --csv directory");
-        for (index, table) in result.tables.iter().enumerate() {
-            let path = format!("{dir}/{name}_{index}.csv");
-            std::fs::write(&path, table.to_csv()).expect("writing the CSV file");
-            println!("# wrote {path}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -852,8 +801,33 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
+    fn repro_selects_experiments_by_id() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        for list in [
+            &["fig7a"][..],
+            &["fig7a", "--quick"],
+            &["--quick", "fig7a"],
+            &["--csv", "out", "fig7a", "--quick"],
+        ] {
+            assert_eq!(
+                select_experiment(&args(list)).unwrap().name,
+                "fig7a",
+                "{list:?}"
+            );
+        }
+        let every_id = |message: &str| registry().iter().all(|e| message.contains(e.name));
+        let unknown = select_experiment(&args(&["fig99", "--quick"]))
+            .err()
+            .expect("an unknown id is rejected");
+        assert!(unknown.contains("unknown experiment `fig99`"), "{unknown}");
+        assert!(every_id(&unknown), "{unknown}");
+        for list in [&[][..], &["--quick"], &["--csv", "fig7a"]] {
+            let missing = select_experiment(&args(list))
+                .err()
+                .expect("a missing id is rejected");
+            assert!(missing.contains("missing experiment id"), "{missing}");
+            assert!(every_id(&missing), "{missing}");
+        }
     }
 
     fn wall(name: &str, wall_s: f64) -> ExperimentWall {

@@ -47,7 +47,8 @@ fn current_snapshot() -> Vec<GoldenExperiment> {
             )
         })
         .collect();
-    run_experiments(&registry, true, etrain_bench::default_jobs())
+    let jobs = etrain_sim::resolve_jobs(None, registry.len());
+    run_experiments(&registry, true, jobs)
         .into_iter()
         .map(|run| GoldenExperiment {
             name: run.record.name,

@@ -24,10 +24,9 @@
 //! machine: [`Engine::step`] processes exactly one event, [`Engine::snapshot`]
 //! captures a versioned, fingerprinted mid-run checkpoint at any step
 //! boundary, and [`Engine::restore`] rebuilds the engine at that point by
-//! deterministic replay (verifying the fingerprint). The batch entry
-//! points ([`run_engine`] and friends) are thin wrappers over
-//! [`run_engine_configured`] that construct an engine and drive it to the
-//! horizon.
+//! deterministic replay (verifying the fingerprint). [`Engine::run`]
+//! drives it to the horizon in one call; [`Scenario`](crate::Scenario)
+//! builds the inputs and adds oracle auditing and journaling on top.
 //!
 //! Two kernels ([`EngineKind`]) can drive the machine. The reference
 //! *slot* kernel visits every slot boundary; the *event* kernel consumes
@@ -51,8 +50,6 @@ use etrain_trace::faults::{hash_unit, FaultPlan};
 use etrain_trace::heartbeats::Heartbeat;
 use etrain_trace::packets::Packet;
 use serde::{Deserialize, Serialize};
-
-use crate::oracle::{OracleMode, OracleOutcome, OracleViolation};
 
 /// Salt decorrelating retry-jitter draws from the fault plan's loss coins.
 const JITTER_SALT: u64 = 0x6a69_7474_6572_5f75;
@@ -463,7 +460,7 @@ impl Fnv {
 /// (returning `false` once no event at or before the horizon remains);
 /// [`Engine::finish`] performs the horizon finalization and produces the
 /// [`EngineOutput`]. [`Engine::run`] drives step-to-exhaustion plus
-/// finish, and is bit-for-bit the behaviour of [`run_engine_journaled`].
+/// finish.
 ///
 /// Between steps the engine can be checkpointed ([`Engine::snapshot`]) and
 /// later rebuilt at the same point ([`Engine::restore`]); see
@@ -512,7 +509,19 @@ impl<'a> Engine<'a> {
     ///
     /// `packets` and `heartbeats` must be sorted by time (the generators
     /// in `etrain-trace` produce sorted traces). The run covers
-    /// `[0, horizon_s]`.
+    /// `[0, horizon_s]`; tail energy accrued after the last transmission
+    /// is truncated at the horizon, like a power-monitor capture that
+    /// stops sampling.
+    ///
+    /// Under a non-trivial `plan`, dropped heartbeats (and those inside a
+    /// train-death window) never depart, and a death window reports
+    /// `trains_alive = false`; outage windows carry zero bits; a lost
+    /// attempt still burns its radio energy and tail, then the packet is
+    /// re-queued after `retry`'s backoff through
+    /// [`Scheduler::on_tx_failure`], keeping its original arrival time, or
+    /// abandoned. [`FaultPlan::none`] short-circuits every fault query.
+    /// With a `journal`, the engine enables scheduler observability and
+    /// records every decision point; with `None` no event is allocated.
     ///
     /// # Panics
     ///
@@ -1282,273 +1291,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Everything that varies between the `run_engine*` entry points: fault
-/// injection, retry policy, journaling, oracle auditing, and the kernel
-/// kind. Each thin wrapper fills in its defaults and delegates to
-/// [`run_engine_configured`].
-#[derive(Debug)]
-pub struct EngineOpts<'a> {
-    /// The fault plan ([`FaultPlan::none`] for clean runs).
-    pub plan: &'a FaultPlan,
-    /// Retry policy applied to failed transfers.
-    pub retry: &'a RetryPolicy,
-    /// Optional structured-event journal.
-    pub journal: Option<&'a mut Journal>,
-    /// Oracle audit applied to the finished output.
-    pub oracle: OracleMode,
-    /// The kernel that advances simulated time.
-    pub engine: EngineKind,
-}
-
-/// The single configurable entry point behind every `run_engine*`
-/// wrapper: builds an [`Engine`] with the requested kernel, drives it to
-/// the horizon, and applies the requested oracle audit to the output.
-///
-/// # Errors
-///
-/// In [`OracleMode::Strict`], the first [`OracleViolation`] the audit
-/// finds. The other modes never fail.
-///
-/// # Panics
-///
-/// Panics as [`Engine::new`] does on invalid inputs.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_engine_configured(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    opts: EngineOpts<'_>,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    let output = Engine::new(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        opts.plan,
-        opts.retry,
-        opts.journal,
-    )
-    .with_kind(opts.engine)
-    .run();
-    if !opts.oracle.is_enabled() {
-        return Ok((output, None));
-    }
-    let mut outcome = crate::oracle::audit_engine(&output, packets, heartbeats, opts.plan);
-    outcome.mode = opts.oracle;
-    crate::oracle::record_outcome(&outcome);
-    if opts.oracle == OracleMode::Strict {
-        if let Some(first) = outcome.violations.first() {
-            return Err(first.clone());
-        }
-    }
-    Ok((output, Some(outcome)))
-}
-
-/// Runs one simulation.
-///
-/// `packets` and `heartbeats` must be sorted by time (the generators in
-/// `etrain-trace` produce sorted traces). The run covers `[0, horizon_s]`;
-/// tail energy accrued after the last transmission is truncated at the
-/// horizon, exactly like a power-monitor capture that stops sampling.
-///
-/// The kernel comes from the [`ENGINE_ENV`] environment variable (slot
-/// when unset); both kinds produce identical results.
-///
-/// # Panics
-///
-/// Panics if `horizon_s` is not strictly positive or an input trace is
-/// unsorted.
-pub fn run_engine(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-) -> EngineOutput {
-    run_engine_with_faults(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-    )
-}
-
-/// Runs one simulation under a [`FaultPlan`], with failed transfers retried
-/// per `retry`.
-///
-/// On top of [`run_engine`]'s semantics:
-///
-/// - heartbeats dropped by the plan (or falling in a train-death window)
-///   never depart; during a death window the slot context reports
-///   `trains_alive = false`, so eTrain stops deferring (paper Sec. V-3) and
-///   resumes piggybacking when the window ends;
-/// - outage windows carry zero bits, stretching any overlapping transfer;
-/// - each transfer attempt may be lost per the plan's loss coin. A lost
-///   attempt still burns its radio energy (and fires its tail); the packet
-///   is then either re-queued — after the policy's backoff, through
-///   [`Scheduler::on_tx_failure`], keeping its *original* arrival time so
-///   its delay cost keeps growing — or abandoned (deadline-aware give-up).
-///
-/// `FaultPlan::none()` short-circuits every fault query, making this
-/// bit-for-bit identical to [`run_engine`].
-///
-/// # Panics
-///
-/// Panics as [`run_engine`] does, and if `retry` fails
-/// [`RetryPolicy::validate`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_with_faults(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> EngineOutput {
-    run_engine_journaled(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        plan,
-        retry,
-        None,
-    )
-}
-
-/// [`run_engine_with_faults`] with an optional structured-event journal.
-///
-/// With `journal: None` this is the exact code path of
-/// [`run_engine_with_faults`] — no events are allocated and the output is
-/// bit-for-bit identical. With `Some(journal)`, the engine enables event
-/// buffering on the scheduler and records every decision point:
-/// heartbeats firing, tail re-uses at transmission start, piggyback
-/// decisions (drained from the scheduler in causal order), and retry
-/// attempts. RRC transitions are appended later from the audited timeline
-/// by the scenario layer, which also canonicalizes the journal.
-///
-/// Profiling spans (see [`etrain_obs::prof`]) wrap the whole run and each
-/// scheduler call; they are no-ops unless profiling was enabled
-/// process-wide and never influence the output.
-///
-/// # Panics
-///
-/// Panics as [`run_engine_with_faults`] does.
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_journaled(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    journal: Option<&mut Journal>,
-) -> EngineOutput {
-    let (output, _) = run_engine_configured(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        EngineOpts {
-            plan,
-            retry,
-            journal,
-            oracle: OracleMode::Off,
-            engine: EngineKind::from_env(),
-        },
-    )
-    .expect("the oracle is off, so the audit cannot fail");
-    output
-}
-
-/// [`run_engine`] under a simulation-oracle mode.
-///
-/// - [`OracleMode::Off`] returns the raw output with zero audit overhead;
-/// - [`OracleMode::Record`] audits the output, adds the tallies to
-///   [`oracle::counters`](crate::oracle::counters) and attaches the
-///   [`OracleOutcome`];
-/// - [`OracleMode::Strict`] does the same but turns the first violation
-///   into an error.
-///
-/// # Errors
-///
-/// In `Strict` mode, the first [`OracleViolation`] the audit finds.
-#[allow(clippy::type_complexity)]
-pub fn run_engine_checked(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    mode: OracleMode,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    run_engine_with_faults_checked(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-        mode,
-    )
-}
-
-/// [`run_engine_with_faults`] under a simulation-oracle mode; see
-/// [`run_engine_checked`] for the mode semantics.
-///
-/// # Errors
-///
-/// In `Strict` mode, the first [`OracleViolation`] the audit finds.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_engine_with_faults_checked(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    mode: OracleMode,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    run_engine_configured(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        EngineOpts {
-            plan,
-            retry,
-            journal: None,
-            oracle: mode,
-            engine: EngineKind::from_env(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1574,17 +1316,39 @@ mod tests {
         AppProfile::paper_trio(60.0)
     }
 
+    /// Runs `sched` to the horizon through [`Engine::run`], on the kernel
+    /// `ETRAIN_ENGINE` selects (the slot kernel when unset).
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        sched: &mut dyn Scheduler,
+        packets: &[Packet],
+        heartbeats: &[Heartbeat],
+        bandwidth: &BandwidthTrace,
+        radio: &RadioParams,
+        horizon_s: f64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> EngineOutput {
+        Engine::new(
+            sched, packets, heartbeats, bandwidth, radio, horizon_s, plan, retry, None,
+        )
+        .with_kind(EngineKind::from_env())
+        .run()
+    }
+
     #[test]
     fn baseline_transmits_everything_with_zero_delay() {
         let packets = mk_packets(&[10.0, 50.0, 90.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &[],
             &BandwidthTrace::constant(1_000_000.0),
             &RadioParams::galaxy_s4_3g(),
             200.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert_eq!(out.completed.len(), 3);
         assert_eq!(out.still_deferred, 0);
@@ -1608,13 +1372,15 @@ mod tests {
             },
             profiles(),
         );
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &heartbeats,
             &BandwidthTrace::constant(1_000_000.0),
             &RadioParams::galaxy_s4_3g(),
             400.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert_eq!(out.completed.len(), 1);
         let delay = out.completed[0].scheduling_delay_s();
@@ -1631,7 +1397,16 @@ mod tests {
         let radio = RadioParams::galaxy_s4_3g();
 
         let mut base = BaselineScheduler::new(profiles());
-        let out_base = run_engine(&mut base, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
+        let out_base = run(
+            &mut base,
+            &packets,
+            &heartbeats,
+            &bandwidth,
+            &radio,
+            3600.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+        );
 
         let mut etr = ETrainScheduler::new(
             ETrainConfig {
@@ -1641,7 +1416,16 @@ mod tests {
             },
             profiles(),
         );
-        let out_etr = run_engine(&mut etr, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
+        let out_etr = run(
+            &mut etr,
+            &packets,
+            &heartbeats,
+            &bandwidth,
+            &radio,
+            3600.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+        );
 
         let base_total = out_base.transmission_energy_j + out_base.tail_energy_j;
         let etr_total = out_etr.transmission_energy_j + out_etr.tail_energy_j;
@@ -1660,13 +1444,15 @@ mod tests {
         let packets = workload.generate(1800.0, 3);
         let heartbeats = synthesize(&TrainAppSpec::paper_trio(), 1800.0, 3);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &heartbeats,
             &BandwidthTrace::constant(500_000.0),
             &RadioParams::galaxy_s4_3g(),
             1800.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert_eq!(
             out.completed.len() + out.in_flight.len() + out.still_deferred,
@@ -1684,13 +1470,15 @@ mod tests {
     fn no_packets_no_energy_above_heartbeats() {
         let heartbeats = synthesize(&[TrainAppSpec::qq()], 3600.0, 1);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &[],
             &heartbeats,
             &BandwidthTrace::constant(500_000.0),
             &RadioParams::galaxy_s4_3g(),
             3600.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert_eq!(out.completed.len(), 0);
         assert_eq!(out.heartbeats_sent, 12);
@@ -1713,13 +1501,15 @@ mod tests {
             size_bytes: 10_000_000,
         }];
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &[],
             &BandwidthTrace::constant(8_000.0),
             &RadioParams::galaxy_s4_3g(),
             60.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert!(out.completed.is_empty());
         assert_eq!(out.in_flight.len(), 1);
@@ -1737,13 +1527,15 @@ mod tests {
             .unwrap();
         let packets = mk_packets(&[10.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &[],
             &BandwidthTrace::constant(1_000_000.0),
             &params,
             100.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         assert_eq!(out.completed.len(), 1);
         let expected_transfer = 5_000.0 * 8.0 / 1_000_000.0;
@@ -1765,13 +1557,15 @@ mod tests {
             .unwrap();
         let packets = mk_packets(&[10.0, 12.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &[],
             &BandwidthTrace::constant(1_000_000.0),
             &params,
             100.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         let transfer = 5_000.0 * 8.0 / 1_000_000.0;
         // One promotion (first packet) + two transfers.
@@ -1788,13 +1582,15 @@ mod tests {
         let packets = workload.generate(1200.0, 9);
         let heartbeats = synthesize(&TrainAppSpec::paper_trio(), 1200.0, 9);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine(
+        let out = run(
             &mut sched,
             &packets,
             &heartbeats,
             &BandwidthTrace::constant(500_000.0),
             &RadioParams::galaxy_s4_3g(),
             1200.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
         let timeline_energy = out.timeline().extra_energy_j();
         let online_energy = out.transmission_energy_j + out.tail_energy_j;
@@ -1823,7 +1619,7 @@ mod tests {
             }
         };
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine_with_faults(
+        let out = run(
             &mut sched,
             &packets,
             &[],
@@ -1864,7 +1660,7 @@ mod tests {
             .with_outage(200.0, 400.0)
             .with_train_death(900.0, 1200.0);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine_with_faults(
+        let out = run(
             &mut sched,
             &packets,
             &heartbeats,
@@ -1901,7 +1697,7 @@ mod tests {
     #[should_panic(expected = "invalid retry policy")]
     fn invalid_retry_policy_rejected() {
         let mut sched = BaselineScheduler::new(profiles());
-        let _ = run_engine_with_faults(
+        let _ = run(
             &mut sched,
             &[],
             &[],
@@ -1921,13 +1717,15 @@ mod tests {
     fn unsorted_packets_rejected() {
         let packets = mk_packets(&[50.0, 10.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let _ = run_engine(
+        let _ = run(
             &mut sched,
             &packets,
             &[],
             &BandwidthTrace::constant(1e6),
             &RadioParams::galaxy_s4_3g(),
             100.0,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
         );
     }
 
@@ -1986,7 +1784,7 @@ mod tests {
     fn stepwise_engine_matches_batch_run() {
         let inputs = faulted_inputs();
         let mut s1 = sched();
-        let batch = run_engine_with_faults(
+        let batch = run(
             &mut s1,
             &inputs.packets,
             &inputs.heartbeats,
@@ -2017,7 +1815,7 @@ mod tests {
     fn snapshot_restore_resumes_bit_for_bit() {
         let inputs = faulted_inputs();
         let mut s1 = sched();
-        let full = run_engine_with_faults(
+        let full = run(
             &mut s1,
             &inputs.packets,
             &inputs.heartbeats,

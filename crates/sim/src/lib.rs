@@ -49,6 +49,7 @@ mod engine;
 pub mod fuzz;
 mod metrics;
 pub mod oracle;
+mod pool;
 mod replicate;
 mod report;
 pub mod runner;
@@ -57,10 +58,8 @@ pub mod sweep;
 
 pub use compare::Comparison;
 pub use engine::{
-    run_engine, run_engine_checked, run_engine_configured, run_engine_journaled,
-    run_engine_with_faults, run_engine_with_faults_checked, AbandonedPacket, CompletedPacket,
-    Engine, EngineKind, EngineOpts, EngineOutput, EngineSnapshot, SnapshotError, ENGINE_ENV,
-    SNAPSHOT_VERSION,
+    AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput, EngineSnapshot,
+    SnapshotError, ENGINE_ENV, SNAPSHOT_VERSION,
 };
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};
@@ -68,11 +67,10 @@ pub use oracle::{
     audit_scheduler_ordering, OracleCounters, OracleMode, OracleOutcome, OracleViolation,
     OrderingAudit, ORACLE_ENV,
 };
+pub use pool::{resolve_jobs, run_indexed, try_jobs_from_env, JOBS_ENV};
 pub use replicate::{replicate, Percentiles, ReplicatedReport, Stat};
 pub use report::{fmt_f, Table};
-pub use runner::{
-    try_jobs_from_env, GridCheckpoint, RunError, RunGrid, RunSpec, TraceCache, JOBS_ENV,
-};
+pub use runner::{GridCheckpoint, RunError, RunGrid, RunSpec, TraceCache};
 pub use scenario::{BandwidthSource, Scenario, ScenarioError, SchedulerKind, TraceBundle};
 
 // Re-exported so fault-injection experiments can be described with this

@@ -2,9 +2,9 @@
 //!
 //! Every experiment layer above the simulator — Θ sweeps, E-D curves,
 //! seed replication, scheduler comparisons, the bench harness — is a grid
-//! of independent [`Scenario`] runs. [`RunGrid`] executes such a grid on a
-//! crossbeam-channel worker pool and guarantees the result is **bit-for-bit
-//! identical** to serial execution:
+//! of independent [`Scenario`] runs. [`RunGrid`] executes such a grid on
+//! the shared worker pool ([`run_indexed`]) and guarantees the result is
+//! **bit-for-bit identical** to serial execution:
 //!
 //! - each job is an independent, deterministic function of its
 //!   [`RunSpec`] (the engine holds no global state, and per-run RNG
@@ -15,10 +15,10 @@
 //!   [`Scenario::trace_key`], which never changes what is generated —
 //!   only how often.
 //!
-//! The pool is sized from `std::thread::available_parallelism`, can be
-//! overridden by the `ETRAIN_JOBS` environment variable or the
-//! [`RunGrid::jobs`] builder, and `jobs = 1` degenerates to fully in-line
-//! serial execution (no threads spawned at all).
+//! The pool is sized by [`resolve_jobs`]: the [`RunGrid::jobs`] builder,
+//! then the `ETRAIN_JOBS` environment variable, then
+//! `std::thread::available_parallelism`; `jobs = 1` degenerates to fully
+//! in-line serial execution (no threads spawned at all).
 //!
 //! # Robustness
 //!
@@ -33,15 +33,12 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use crossbeam::channel;
 use etrain_obs::{Journal, ObsMode};
 
 use crate::metrics::RunReport;
 use crate::oracle::OracleMode;
+use crate::pool::{resolve_jobs, run_indexed};
 use crate::scenario::{Scenario, ScenarioError, SchedulerKind, TraceBundle};
-
-/// The environment variable that overrides the worker-pool size.
-pub const JOBS_ENV: &str = "ETRAIN_JOBS";
 
 /// One job of a grid: a scenario plus the labelling that ties its report
 /// back to the experiment axis that produced it.
@@ -463,17 +460,9 @@ impl RunGrid {
 
     /// The worker count this grid will use: the builder override if set,
     /// else `ETRAIN_JOBS` if parseable, else the machine's available
-    /// parallelism — never more workers than jobs.
+    /// parallelism — never more workers than jobs (see [`resolve_jobs`]).
     pub fn effective_jobs(&self) -> usize {
-        let configured = self
-            .jobs
-            .or_else(|| jobs_from_env(std::env::var(JOBS_ENV).ok().as_deref()))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        configured.clamp(1, self.specs.len().max(1))
+        resolve_jobs(self.jobs, self.specs.len())
     }
 
     /// Runs every job and returns the reports in job-index order.
@@ -707,8 +696,7 @@ impl RunGrid {
     /// Shared execution path: runs `run` on the jobs at `todo`, invoking
     /// `on_result` on the calling thread as each job completes (out of
     /// index order under the pool — callers that need order re-assemble by
-    /// index). `run` must be panic-isolating (see [`run_one_isolated`]);
-    /// it is a plain `fn` pointer so worker threads can share it freely.
+    /// index). `run` must be panic-isolating (see [`run_one_isolated`]).
     fn execute<T, F>(
         &self,
         cache: &TraceCache,
@@ -719,43 +707,12 @@ impl RunGrid {
         T: Send,
         F: FnMut(usize, Result<T, JobError>),
     {
-        let workers = self.effective_jobs().min(todo.len().max(1));
-        if workers <= 1 || todo.len() <= 1 {
-            for &index in todo {
-                on_result(index, run(&self.specs[index], cache));
-            }
-            return;
-        }
-        let (job_tx, job_rx) = channel::unbounded::<(usize, &RunSpec)>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Result<T, JobError>)>();
-        for &index in todo {
-            job_tx
-                .send((index, &self.specs[index]))
-                .expect("job receiver alive");
-        }
-        drop(job_tx);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, spec)) = job_rx.recv() {
-                        if result_tx.send((index, run(spec, cache))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            // Drain on the calling thread *while workers run*, so
-            // `on_result` (and therefore periodic checkpointing) fires
-            // mid-grid, not only after the last job. The iterator ends
-            // when the workers drop their sender clones.
-            drop(result_tx);
-            for (index, outcome) in result_rx.iter() {
-                on_result(index, outcome);
-            }
-        });
+        run_indexed(
+            todo,
+            resolve_jobs(self.jobs, todo.len()),
+            |&index| run(&self.specs[index], cache),
+            |at, outcome| on_result(todo[at], outcome),
+        );
     }
 }
 
@@ -826,45 +783,6 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_owned()
-    }
-}
-
-/// Parses an `ETRAIN_JOBS` value strictly: `Ok(None)` when unset or empty,
-/// `Ok(Some(n))` for a positive integer, and `Err` (with a human-readable
-/// reason) for anything else — including `0`, which would silently mean
-/// "not set" under the old lenient reader.
-pub fn try_jobs_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
-    let raw = match value {
-        None => return Ok(None),
-        Some(raw) => raw.trim(),
-    };
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    match raw.parse::<usize>() {
-        Ok(0) => Err(format!("{JOBS_ENV}={raw:?}: worker count must be >= 1")),
-        Ok(jobs) => Ok(Some(jobs)),
-        Err(_) => Err(format!(
-            "{JOBS_ENV}={raw:?}: expected a positive integer worker count"
-        )),
-    }
-}
-
-/// Lenient `ETRAIN_JOBS` reader for library paths: unparseable values fall
-/// back to "not set", but — unlike the old silent fallback — the first bad
-/// value warns once on stderr so a typo like `ETRAIN_JOBS=fuor` doesn't
-/// quietly run on every core. Binaries that want to fail fast call
-/// [`try_jobs_from_env`] instead.
-fn jobs_from_env(value: Option<&str>) -> Option<usize> {
-    match try_jobs_from_env(value) {
-        Ok(jobs) => jobs,
-        Err(reason) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: ignoring {reason}");
-            });
-            None
-        }
     }
 }
 
@@ -1160,37 +1078,5 @@ mod tests {
     #[test]
     fn empty_grid_runs_to_empty() {
         assert!(RunGrid::new().run().is_empty());
-        assert_eq!(RunGrid::new().effective_jobs(), 1);
-    }
-
-    #[test]
-    fn jobs_env_parsing() {
-        assert_eq!(jobs_from_env(None), None);
-        assert_eq!(jobs_from_env(Some("")), None);
-        assert_eq!(jobs_from_env(Some("zero")), None);
-        assert_eq!(jobs_from_env(Some("0")), None);
-        assert_eq!(jobs_from_env(Some("4")), Some(4));
-        assert_eq!(jobs_from_env(Some(" 8 ")), Some(8));
-    }
-
-    #[test]
-    fn strict_jobs_parsing_rejects_what_the_lenient_reader_swallows() {
-        assert_eq!(try_jobs_from_env(None), Ok(None));
-        assert_eq!(try_jobs_from_env(Some("  ")), Ok(None));
-        assert_eq!(try_jobs_from_env(Some("4")), Ok(Some(4)));
-        let zero = try_jobs_from_env(Some("0")).unwrap_err();
-        assert!(zero.contains(">= 1"), "{zero}");
-        let junk = try_jobs_from_env(Some("fuor")).unwrap_err();
-        assert!(junk.contains("positive integer"), "{junk}");
-        assert!(junk.contains(JOBS_ENV), "{junk}");
-    }
-
-    #[test]
-    fn builder_jobs_override_wins_and_is_clamped() {
-        let grid = theta_grid(64);
-        // Never more workers than jobs.
-        assert_eq!(grid.effective_jobs(), 4);
-        let serial = theta_grid(0);
-        assert_eq!(serial.effective_jobs(), 1);
     }
 }

@@ -46,6 +46,6 @@ fn main() {
     println!("{table}");
     println!(
         "Note: each algorithm's knob shifts its energy-delay point; run\n\
-         `cargo run -p etrain-bench --release --bin fig8a` for full E-D curves."
+         `cargo run -p etrain-bench --release --bin repro -- fig8a` for full E-D curves."
     );
 }
