@@ -1,6 +1,7 @@
 //! CI performance gate: compares a freshly produced `BENCH_repro.json`
 //! against a committed baseline and fails (exit 1) when any experiment —
-//! or the suite total — regressed past the allowed factor.
+//! or the suite total — regressed past the allowed factor, or when the
+//! baseline has no entry for an experiment the fresh run measured.
 //!
 //! ```text
 //! cargo run -p etrain-bench --release --bin repro_all -- --quick --json fresh.json
@@ -10,7 +11,9 @@
 //!
 //! Baselines under the noise floor (50 ms) never trip the gate, and a
 //! missing baseline file passes with a note — the first run on a fresh
-//! checkout must not fail before a baseline exists.
+//! checkout must not fail before a baseline exists. A baseline file that
+//! lacks an experiment does fail: refresh it by committing a fresh
+//! `repro_all --quick` report.
 
 /// Per-experiment baselines under this many seconds never trip the gate.
 const FLOOR_S: f64 = 0.05;
@@ -51,11 +54,6 @@ fn main() {
         !current.is_empty(),
         "{current_path} carries no experiment records — not a repro_all report?"
     );
-    if baseline.is_empty() {
-        println!("# perf_gate: baseline {baseline_path} has no experiment records; passing");
-        return;
-    }
-
     let base_total: f64 = baseline.iter().map(|e| e.wall_s).sum();
     let cur_total: f64 = current.iter().map(|e| e.wall_s).sum();
     println!(
@@ -65,9 +63,13 @@ fn main() {
         current.len()
     );
     let regressions = etrain_bench::perf_regressions(&baseline, &current, factor, FLOOR_S);
-    if regressions.is_empty() {
+    let missing = etrain_bench::missing_baselines(&baseline, &current);
+    if regressions.is_empty() && missing.is_empty() {
         println!("# perf_gate: OK");
         return;
+    }
+    for name in &missing {
+        eprintln!("error: {name} has no entry in the baseline {baseline_path}; refresh it");
     }
     for r in &regressions {
         eprintln!(

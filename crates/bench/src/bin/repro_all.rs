@@ -20,7 +20,7 @@
 //! `record` mode and writes the check/violation tallies into the report.
 //! `ETRAIN_ORACLE=strict` turns any violation into a hard failure.
 //!
-//! `ETRAIN_OBS=ring|jsonl` additionally turns on the observability layer
+//! `ETRAIN_OBS=jsonl` additionally turns on the observability layer
 //! for every scenario the suite runs: profiling spans are collected, the
 //! `explain` experiment's raw journal is exported as
 //! `BENCH_explain.jsonl`, and the phase profile is written to

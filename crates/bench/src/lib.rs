@@ -368,25 +368,58 @@ pub struct ReproRun {
     pub result: ExperimentResult,
 }
 
-/// Validates every `ETRAIN_*` environment knob a bench binary honors
-/// (`ETRAIN_ORACLE`, `ETRAIN_OBS`, `ETRAIN_ENGINE`, `ETRAIN_JOBS`,
-/// `ETRAIN_REFERENCE_COST`, `ETRAIN_FLEET_SIZE`, `ETRAIN_WAL`,
-/// `ETRAIN_SVC_ADDR`, `ETRAIN_WAL_FAULT`), exiting with status 2 and one message per
-/// bad knob. Binaries call this first: a typo like `ETRAIN_ORACLE=stric`
-/// must abort the run, not silently audit nothing (library contexts keep
-/// the lenient warn-once fallback instead).
+/// Every `ETRAIN_*` environment knob the workspace reads, in the order
+/// README's knob table lists them. The last three are read only by test
+/// harnesses (`ETRAIN_SVCD_BIN` by the chaos supervisor's daemon lookup,
+/// `ETRAIN_CHAOS_LOG` by the sim chaos test, `ETRAIN_UPDATE_GOLDEN` by
+/// the golden test).
+pub const ENV_KNOBS: [&str; 10] = [
+    etrain_sim::ORACLE_ENV,
+    etrain_sim::OBS_ENV,
+    etrain_sim::JOBS_ENV,
+    etrain_fleet::FLEET_SIZE_ENV,
+    etrain_svc::WAL_ENV,
+    etrain_svc::SVC_ADDR_ENV,
+    etrain_svc::WAL_FAULT_ENV,
+    "ETRAIN_SVCD_BIN",
+    "ETRAIN_CHAOS_LOG",
+    "ETRAIN_UPDATE_GOLDEN",
+];
+
+/// The `ETRAIN_*` names among `names` that are not in [`ENV_KNOBS`] — a
+/// misspelling or a retired knob — in input order. Names without the
+/// `ETRAIN_` prefix are ignored.
+pub fn unknown_env_knobs<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    names
+        .into_iter()
+        .filter(|name| name.starts_with("ETRAIN_") && !ENV_KNOBS.contains(name))
+        .collect()
+}
+
+/// Validates the `ETRAIN_*` environment before a bench binary runs,
+/// exiting with status 2 and one message per problem: a set `ETRAIN_*`
+/// name outside [`ENV_KNOBS`] (a retired knob would otherwise do
+/// nothing, silently), or a malformed value of a knob the binaries
+/// honor (`ETRAIN_ORACLE=stric` must abort the run, not silently audit
+/// nothing; library contexts keep the lenient warn-once fallback
+/// instead).
 pub fn validate_env_knobs() {
-    let mut problems = Vec::new();
+    let set: Vec<String> = std::env::vars_os()
+        .filter_map(|(key, _)| key.into_string().ok())
+        .collect();
+    let mut problems: Vec<String> = unknown_env_knobs(set.iter().map(String::as_str))
+        .into_iter()
+        .map(|name| {
+            format!(
+                "unknown environment knob {name} (retired or misspelled; known: {})",
+                ENV_KNOBS.join(", ")
+            )
+        })
+        .collect();
     if let Err(reason) = etrain_sim::OracleMode::try_from_env() {
         problems.push(reason);
     }
     if let Err(reason) = etrain_obs::ObsMode::try_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_sim::EngineKind::try_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_sched::try_reference_cost_from_env() {
         problems.push(reason);
     }
     let jobs_raw = std::env::var(etrain_sim::JOBS_ENV).ok();
@@ -482,7 +515,7 @@ pub fn oracle_summary() -> OracleSummary {
 /// journaling backed the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsSummary {
-    /// The process-wide observability mode (`off`, `ring` or `jsonl`).
+    /// The process-wide observability mode (`off` or `jsonl`).
     ///
     /// Note this is the *ambient* `ETRAIN_OBS` mode; the `explain`
     /// experiment forces journaling on for its own run regardless, so
@@ -598,8 +631,8 @@ pub struct PerfRegression {
 /// baseline. Baselines are floored at `floor_s` first, so sub-floor
 /// experiments never trip the gate on scheduler noise. Experiments
 /// present on only one side are skipped entirely — including from the
-/// totals — so a legitimately grown registry never reads as a
-/// regression.
+/// totals; [`missing_baselines`] reports the current ones the baseline
+/// lacks, which `perf_gate` fails on.
 pub fn perf_regressions(
     baseline: &[ExperimentWall],
     current: &[ExperimentWall],
@@ -635,6 +668,21 @@ pub fn perf_regressions(
         });
     }
     regressions
+}
+
+/// The names of `current` experiments with no entry in `baseline`, in
+/// `current` order. An experiment the baseline never measured is not
+/// gated at all, so `perf_gate` treats each one as a failure: a stale
+/// baseline must be refreshed, not silently passed.
+pub fn missing_baselines<'a>(
+    baseline: &[ExperimentWall],
+    current: &'a [ExperimentWall],
+) -> Vec<&'a str> {
+    current
+        .iter()
+        .filter(|cur| !baseline.iter().any(|b| b.name == cur.name))
+        .map(|cur| cur.name.as_str())
+        .collect()
 }
 
 /// The body of `BENCH_repro.json`: the oracle and observability tallies,
@@ -830,6 +878,21 @@ mod tests {
         }
     }
 
+    #[test]
+    fn unknown_env_knobs_names_retired_and_misspelled_knobs() {
+        let set = [
+            "PATH",
+            "ETRAIN_ORACLE",
+            "ETRAIN_KERNEL",
+            "ETRAIN_JOBS",
+            "ETRAIN_ORACEL",
+            "ETRAIN_UPDATE_GOLDEN",
+        ];
+        assert_eq!(unknown_env_knobs(set), ["ETRAIN_KERNEL", "ETRAIN_ORACEL"]);
+        assert!(unknown_env_knobs(ENV_KNOBS).is_empty());
+        assert!(ENV_KNOBS.iter().all(|knob| knob.starts_with("ETRAIN_")));
+    }
+
     fn wall(name: &str, wall_s: f64) -> ExperimentWall {
         ExperimentWall {
             name: name.to_owned(),
@@ -867,6 +930,15 @@ mod tests {
         let bad = perf_regressions(&baseline, &[wall("a", 2.5), wall("b", 1.9)], 2.1, 0.05);
         assert_eq!(bad.len(), 2, "per-experiment a plus the total");
         assert_eq!(bad[1].name, "(total)");
+    }
+
+    #[test]
+    fn missing_baselines_names_every_unmeasured_experiment() {
+        let baseline = [wall("a", 1.0), wall("gone", 1.0)];
+        let current = [wall("a", 1.0), wall("new", 0.001), wall("newer", 9.0)];
+        assert_eq!(missing_baselines(&baseline, &current), ["new", "newer"]);
+        assert_eq!(missing_baselines(&[], &current), ["a", "new", "newer"]);
+        assert!(missing_baselines(&current, &current).is_empty());
     }
 
     #[test]

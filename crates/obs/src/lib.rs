@@ -27,9 +27,8 @@
 //!
 //! The whole layer is **zero-cost when off**: the [`ObsMode`] knob
 //! (environment variable `ETRAIN_OBS`, or `Scenario::obs`) defaults to
-//! [`ObsMode::Off`], in which case no events are allocated, no recorder is
-//! consulted, and simulation output is bit-for-bit identical to a build
-//! without this crate.
+//! [`ObsMode::Off`], in which case no events are allocated and simulation
+//! output is bit-for-bit identical to a build without this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,17 +39,15 @@ pub mod fleet;
 mod metrics;
 mod mode;
 pub mod prof;
-mod recorder;
 
 pub use durable::{
-    crc32, decode_event_records, scan_segment, AppendFault, DurableRecorder, FrameWriter,
-    SegmentScan, TailStatus, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WAL_MAGIC,
+    crc32, scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
+    MAX_FRAME_BYTES, WAL_MAGIC,
 };
 pub use event::{Event, EventRecord, Journal};
 pub use fleet::{ClassSnapshot, FleetSnapshot, FleetTally};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::{ObsMode, OBS_ENV};
-pub use recorder::{JsonLinesRecorder, NullRecorder, Recorder, RingRecorder};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -17,9 +17,6 @@ pub enum ObsMode {
     /// Record nothing (zero-cost; the default).
     #[default]
     Off,
-    /// Record events into a bounded in-memory ring per run; old events
-    /// are evicted once the ring is full.
-    Ring,
     /// Record every event, exportable as JSON Lines.
     Jsonl,
 }
@@ -67,10 +64,9 @@ impl std::str::FromStr for ObsMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "false" | "none" => Ok(ObsMode::Off),
-            "ring" => Ok(ObsMode::Ring),
             "jsonl" | "on" | "1" | "true" => Ok(ObsMode::Jsonl),
             other => Err(format!(
-                "unknown {OBS_ENV} mode {other:?} (expected off, ring, or jsonl)"
+                "unknown {OBS_ENV} mode {other:?} (expected off or jsonl)"
             )),
         }
     }
@@ -80,7 +76,6 @@ impl std::fmt::Display for ObsMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ObsMode::Off => write!(f, "off"),
-            ObsMode::Ring => write!(f, "ring"),
             ObsMode::Jsonl => write!(f, "jsonl"),
         }
     }
@@ -93,7 +88,7 @@ mod tests {
     #[test]
     fn parses_all_spellings() {
         assert_eq!("off".parse::<ObsMode>().unwrap(), ObsMode::Off);
-        assert_eq!("Ring".parse::<ObsMode>().unwrap(), ObsMode::Ring);
+        assert!("ring".parse::<ObsMode>().is_err());
         assert_eq!(" JSONL ".parse::<ObsMode>().unwrap(), ObsMode::Jsonl);
         assert_eq!("on".parse::<ObsMode>().unwrap(), ObsMode::Jsonl);
         assert!("journal".parse::<ObsMode>().is_err());
@@ -103,13 +98,12 @@ mod tests {
     fn default_is_off() {
         assert_eq!(ObsMode::default(), ObsMode::Off);
         assert!(!ObsMode::Off.is_enabled());
-        assert!(ObsMode::Ring.is_enabled());
         assert!(ObsMode::Jsonl.is_enabled());
     }
 
     #[test]
     fn display_round_trips() {
-        for mode in [ObsMode::Off, ObsMode::Ring, ObsMode::Jsonl] {
+        for mode in [ObsMode::Off, ObsMode::Jsonl] {
             assert_eq!(mode.to_string().parse::<ObsMode>().unwrap(), mode);
         }
     }

@@ -1,5 +1,7 @@
 //! Property tests for the scheduling layer: conservation, causality and
-//! bound-respect for every algorithm under arbitrary arrival sequences.
+//! bound-respect for every algorithm under arbitrary arrival sequences,
+//! and the cached eTrain decision path against its from-scratch
+//! reference.
 
 use etrain_sched::{
     AppProfile, BaselineScheduler, ETimeConfig, ETimeScheduler, ETrainConfig, ETrainScheduler,
@@ -268,5 +270,133 @@ proptest! {
             }
             etrain_sched::RetryDecision::Abandon => {}
         }
+    }
+}
+
+/// One input of a decision-path drive, applied to both schedulers.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// Offer a packet.
+    Arrive(Packet),
+    /// Run one slot.
+    Slot {
+        now_s: f64,
+        heartbeat: bool,
+        trains_alive: bool,
+    },
+}
+
+/// Drives a cached and a `set_reference_decisions(true)` eTrain
+/// scheduler with the same inputs and demands identical releases at
+/// every step, identical `pending` / `pending_bytes`, and identical
+/// buffered obs events. With obs off the cached Θ gate takes its
+/// partial-sum early exit, so both settings matter.
+fn assert_decision_paths_agree(
+    config: ETrainConfig,
+    profiles: Vec<AppProfile>,
+    obs: bool,
+    drive: &[Drive],
+) -> Result<(), TestCaseError> {
+    let mut cached = ETrainScheduler::new(config, profiles.clone());
+    let mut reference = ETrainScheduler::new(config, profiles);
+    reference.set_reference_decisions(true);
+    cached.set_obs_enabled(obs);
+    reference.set_obs_enabled(obs);
+    for (step, input) in drive.iter().enumerate() {
+        let (c, r) = match *input {
+            Drive::Arrive(p) => (
+                cached.on_arrival(p, p.arrival_s).expect("registered app"),
+                reference
+                    .on_arrival(p, p.arrival_s)
+                    .expect("registered app"),
+            ),
+            Drive::Slot {
+                now_s,
+                heartbeat,
+                trains_alive,
+            } => {
+                let ctx = SlotContext {
+                    now_s,
+                    heartbeat_departing: heartbeat,
+                    predicted_bandwidth_bps: 400_000.0,
+                    trains_alive,
+                };
+                (cached.on_slot(&ctx), reference.on_slot(&ctx))
+            }
+        };
+        prop_assert_eq!(c, r, "step {} ({:?}) released differently", step, input);
+        prop_assert_eq!(cached.pending(), reference.pending());
+        prop_assert_eq!(cached.pending_bytes(), reference.pending_bytes());
+        prop_assert_eq!(
+            cached.take_obs_events(),
+            reference.take_obs_events(),
+            "step {} obs events diverged",
+            step
+        );
+    }
+    Ok(())
+}
+
+/// The fixed mixed drive: bounded `k`, periodic heartbeats, Θ breaches
+/// and obs on, with every packet queued before the first slot.
+#[test]
+fn decision_paths_agree_on_a_fixed_mixed_drive() {
+    let mut drive: Vec<Drive> = (0..40u64)
+        .map(|i| {
+            Drive::Arrive(Packet {
+                id: i,
+                app: CargoAppId((i % 3) as usize),
+                arrival_s: i as f64 * 1.7,
+                size_bytes: 1_000,
+            })
+        })
+        .collect();
+    drive.extend((0..240u64).map(|slot| Drive::Slot {
+        now_s: slot as f64,
+        heartbeat: slot % 31 == 0,
+        trains_alive: true,
+    }));
+    let config = ETrainConfig {
+        theta: 0.4,
+        k: Some(3),
+        slot_s: 1.0,
+    };
+    assert_decision_paths_agree(config, AppProfile::paper_trio(30.0), true, &drive).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cached decision path is bit-for-bit the reference recompute
+    /// under random arrivals across apps, Θ, bounded and unbounded `k`,
+    /// heartbeat patterns, `trains_alive` flips, and obs on and off.
+    #[test]
+    fn cached_decision_path_matches_reference(
+        theta in 0.0f64..4.0,
+        k in prop_oneof![Just(None), (1usize..8).prop_map(Some)],
+        obs in prop::bool::weighted(0.5),
+        arrivals in prop::collection::vec((0.1f64..20.0, 0usize..3, 100u64..50_000), 0..60),
+        slots in prop::collection::vec(
+            (prop::bool::weighted(0.05), prop::bool::weighted(0.95)),
+            300,
+        ),
+    ) {
+        // Interleave arrivals and slots by time: a packet arriving at or
+        // before a slot's start is offered before that slot runs.
+        let mut drive = Vec::with_capacity(arrivals.len() + slots.len());
+        let mut t = 0.0;
+        let mut pending = arrivals.iter().enumerate().map(|(i, &(gap, app, size))| {
+            t += gap;
+            Packet { id: i as u64, app: CargoAppId(app), arrival_s: t, size_bytes: size }
+        }).peekable();
+        for (slot, &(heartbeat, trains_alive)) in slots.iter().enumerate() {
+            let now_s = slot as f64;
+            while let Some(p) = pending.next_if(|p| p.arrival_s <= now_s) {
+                drive.push(Drive::Arrive(p));
+            }
+            drive.push(Drive::Slot { now_s, heartbeat, trains_alive });
+        }
+        let config = ETrainConfig { theta, k, slot_s: 1.0 };
+        assert_decision_paths_agree(config, AppProfile::paper_trio(45.0), obs, &drive)?;
     }
 }

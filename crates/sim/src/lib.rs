@@ -59,7 +59,7 @@ pub mod sweep;
 pub use compare::Comparison;
 pub use engine::{
     AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput, EngineSnapshot,
-    SnapshotError, ENGINE_ENV, SNAPSHOT_VERSION,
+    SnapshotError, SNAPSHOT_VERSION,
 };
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};
@@ -85,8 +85,7 @@ pub use etrain_sched::{
 };
 
 // Re-exported so observability consumers (journaled runs, metrics
-// snapshots, event recorders) can be described with this crate alone.
+// snapshots) can be described with this crate alone.
 pub use etrain_obs::{
-    Event, EventRecord, Journal, JsonLinesRecorder, MetricsRegistry, MetricsSnapshot, NullRecorder,
-    ObsMode, Recorder, RingRecorder, OBS_ENV,
+    Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode, OBS_ENV,
 };

@@ -434,15 +434,6 @@ impl RunGrid {
         self
     }
 
-    /// Builder: sets the simulation kernel on every job in the grid (see
-    /// [`Scenario::engine`]). Apply after all specs are pushed.
-    pub fn engine(mut self, kind: crate::engine::EngineKind) -> Self {
-        for spec in &mut self.specs {
-            spec.scenario = spec.scenario.clone().engine(kind);
-        }
-        self
-    }
-
     /// Number of jobs in the grid.
     pub fn len(&self) -> usize {
         self.specs.len()

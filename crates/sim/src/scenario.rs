@@ -328,8 +328,8 @@ impl Scenario {
             retry: RetryPolicy::default(),
             oracle: OracleMode::from_env(),
             obs: ObsMode::from_env(),
-            engine: EngineKind::from_env(),
-            reference_cost: etrain_sched::reference_cost_from_env(),
+            engine: EngineKind::default(),
+            reference_cost: false,
         }
     }
 
@@ -472,13 +472,13 @@ impl Scenario {
         self.obs
     }
 
-    /// Sets the simulation kernel for this scenario's runs.
-    /// [`Scenario::paper_default`] starts from the `ETRAIN_ENGINE`
-    /// environment variable ([`EngineKind::from_env`], default `Slot`);
-    /// this builder overrides it. Both kernels produce bit-for-bit
-    /// identical reports, journals and oracle ledgers; the event kernel
-    /// merely skips quiescent slot boundaries in bulk, so sparse standby
-    /// scenarios run much faster.
+    /// Sets the simulation kernel for this scenario's runs
+    /// ([`Scenario::paper_default`] runs the event kernel). Both kernels
+    /// produce bit-for-bit identical reports, journals and oracle
+    /// ledgers; the event kernel merely skips quiescent slot boundaries
+    /// in bulk, so sparse standby scenarios run much faster. Select
+    /// [`EngineKind::Slot`] only as the reference a differential test
+    /// compares against.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
         self
@@ -491,12 +491,10 @@ impl Scenario {
 
     /// Makes the eTrain scheduler use its retained reference decision path
     /// (full per-slot cost recomputation, allocation-per-decision) instead
-    /// of the cached hot path. [`Scenario::paper_default`] starts from the
-    /// `ETRAIN_REFERENCE_COST` environment variable
-    /// ([`etrain_sched::reference_cost_from_env`], default off); this
-    /// builder overrides it. Both paths are bit-for-bit equivalent — the
-    /// reference path exists as an escape hatch and as the ground truth the
-    /// equivalence test suite compares the hot path against.
+    /// of the cached hot path ([`Scenario::paper_default`] runs the cached
+    /// path). Both paths are bit-for-bit equivalent; the reference path
+    /// exists only as the ground truth the equivalence suite compares the
+    /// hot path against.
     pub fn reference_cost(mut self, reference: bool) -> Self {
         self.reference_cost = reference;
         self
@@ -1254,7 +1252,7 @@ mod tests {
         let scenario = Scenario::paper_default()
             .duration_secs(900)
             .seed(13)
-            .obs(ObsMode::Ring)
+            .obs(ObsMode::Jsonl)
             .oracle(OracleMode::Off)
             .faults(
                 FaultPlan::seeded(3)

@@ -80,14 +80,14 @@ fn conformance_full_strict_and_deterministic() {
 }
 
 /// Runs one generated workload under both engine kernels — same traces,
-/// same scheduler, `Strict` oracle, ring journal — and demands
+/// same scheduler, `Strict` oracle, full journal — and demands
 /// bit-for-bit identical reports and journals. This is the event kernel's
 /// conformance contract: batched slot retirement is an optimization the
 /// outputs must not be able to see.
 fn assert_kernels_interchangeable(seed: u64, with_faults: bool) {
     let base = random_scenario(seed, with_faults)
         .oracle(OracleMode::Strict)
-        .obs(ObsMode::Ring);
+        .obs(ObsMode::Jsonl);
     for kind in conformance_kinds() {
         let scenario = base.clone().scheduler(kind);
         let traces = scenario.generate_traces();

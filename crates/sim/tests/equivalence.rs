@@ -5,9 +5,8 @@
 //!
 //! Every seeded scenario runs twice — once on the cached decision path
 //! and once with the retained from-scratch reference recompute
-//! (`Scenario::reference_cost`, the builder form of
-//! `ETRAIN_REFERENCE_COST=1`) — across all five schedulers, both engine
-//! kernels, fault-free and faulty plans, with the strict oracle on and
+//! (`Scenario::reference_cost(true)`) — across all five schedulers, both
+//! engine kernels, fault-free and faulty plans, with the strict oracle on and
 //! the structured journal exported. Reports, their serialized JSON, and
 //! the merged journals must match byte for byte.
 //!
@@ -107,17 +106,12 @@ fn equivalence_full_decision_paths_are_interchangeable() {
     }
 }
 
-/// The `ETRAIN_REFERENCE_COST` environment knob reaches
-/// `Scenario::paper_default`. Safe to toggle concurrently with the other
-/// tests in this binary: they override the flag per scenario via
-/// `reference_cost(..)`, and the two paths are equivalent anyway — that
-/// is the point of this suite.
+/// A default scenario runs the fast side of both bit-identical forks:
+/// the event kernel and the cached decision path. The slow sides are
+/// reached only through the explicit builders the tiers above use.
 #[test]
-fn reference_cost_env_reaches_scenario_default() {
-    std::env::set_var(etrain_sched::REFERENCE_COST_ENV, "reference");
-    assert!(Scenario::paper_default().reference_cost_enabled());
-    std::env::set_var(etrain_sched::REFERENCE_COST_ENV, "cached");
-    assert!(!Scenario::paper_default().reference_cost_enabled());
-    std::env::remove_var(etrain_sched::REFERENCE_COST_ENV);
-    assert!(!Scenario::paper_default().reference_cost_enabled());
+fn scenario_defaults_to_event_kernel_and_cached_path() {
+    let scenario = Scenario::paper_default();
+    assert_eq!(scenario.engine_kind(), EngineKind::Event);
+    assert!(!scenario.reference_cost_enabled());
 }

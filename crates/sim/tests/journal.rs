@@ -81,7 +81,7 @@ fn metrics_energy_gauges_sum_to_the_report_total() {
     let (report, _, _) = Scenario::paper_default()
         .duration_secs(900)
         .seed(7)
-        .obs(ObsMode::Ring)
+        .obs(ObsMode::Jsonl)
         .try_run_journaled()
         .unwrap();
     let metrics = report.metrics.expect("metrics recorded");
